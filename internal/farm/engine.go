@@ -374,10 +374,7 @@ func (e *Engine) worker() {
 		e.queue = e.queue[1:]
 		e.active++
 		e.mu.Unlock()
-		e.runPoint(t)
-		e.mu.Lock()
-		e.active--
-		e.mu.Unlock()
+		e.runPoint(t) // decrements e.active before the point is reported
 	}
 }
 
@@ -418,10 +415,13 @@ func (e *Engine) execute(s *spec.Spec) (doc []byte, err error) {
 }
 
 // finishPoint marks point i done, updating the engine's counters and
-// latency histograms for an executed point.
+// latency histograms for an executed point. The engine's accounting —
+// the worker leaving the active set included — is settled before the
+// job reports the point, so a caller woken by the job's completion
+// reads Stats that already include it.
 func (e *Engine) finishPoint(j *Job, i, attempts int, cached bool, wallNS int64, experiment string) {
-	j.finish(i, attempts, cached, wallNS)
 	e.mu.Lock()
+	e.active--
 	e.completedPts.Inc()
 	if cached {
 		e.cachedPts.Inc()
@@ -437,6 +437,7 @@ func (e *Engine) finishPoint(j *Job, i, attempts int, cached bool, wallNS int64,
 		h.Observe(us)
 	}
 	e.mu.Unlock()
+	j.finish(i, attempts, cached, wallNS)
 	e.logger.Info("point done", "job", j.ID, "point", i,
 		"hash", shortHash(j.points[i].Hash), "experiment", experiment,
 		"cached", cached, "attempts", attempts,
@@ -481,7 +482,9 @@ func shortHash(h string) string {
 // done; on failure retry up to Retries times. Followers of an in-flight
 // identical point wait and then take the leader's cached result. Every
 // stage closes a lifecycle span on the point (queued, cache_probe,
-// singleflight_wait, running, store), emitted as "span" events.
+// singleflight_wait, running, store), emitted as "span" events. Both
+// outcomes leave the worker's active count (e.active--) in the critical
+// section that counts them, before the job hears of the point.
 func (e *Engine) runPoint(t task) {
 	j, i := t.job, t.index
 	p := j.start(i)
@@ -534,6 +537,7 @@ func (e *Engine) runPoint(t task) {
 		}
 		if attempts > e.retries {
 			e.mu.Lock()
+			e.active--
 			e.failedPts.Inc()
 			e.mu.Unlock()
 			j.fail(i, attempts, lastErr)

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,6 +12,11 @@ import (
 
 	"gsdram/internal/spec"
 )
+
+// maxSubmitBytes bounds a POST /api/v1/sweeps body. A point's spec is a
+// few hundred bytes of JSON, so this admits sweeps of tens of thousands
+// of points while keeping one request from holding unbounded memory.
+const maxSubmitBytes = 8 << 20
 
 // SubmitRequest is the POST /api/v1/sweeps body: one spec per point.
 type SubmitRequest struct {
@@ -120,9 +126,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "sweep body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad sweep body: %v", err)
 		return
 	}

@@ -131,6 +131,18 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("malformed body = HTTP %d; want 400", resp.StatusCode)
 	}
 
+	// A body over maxSubmitBytes is a 413, even when it is valid JSON
+	// so far: the decoder stops at the limit instead of buffering it.
+	huge := `{"points":[` + strings.Repeat(`{"experiment":"fig9"},`, maxSubmitBytes/20) + `{}]}`
+	resp, err = http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = HTTP %d; want 413", resp.StatusCode)
+	}
+
 	// An invalid point is a 400 with the validation message.
 	bad := point(1)
 	bad.Experiment = "nope"

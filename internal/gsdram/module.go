@@ -40,28 +40,30 @@ type Module struct {
 	geom    Geometry
 	shuffle ShuffleFunc
 
-	// rows holds the rank's contents, allocated lazily one DRAM row at a
-	// time (indexed by bank*Rows+row; nil = untouched). Within a row,
-	// words are indexed by chipColumn*Chips + chip — each chip's local
-	// column address — so the layout matches the physical chips bit for
-	// bit. Untouched rows read as zero, like freshly initialised DRAM in
-	// the model. A dense slice (Banks×Rows pointers) keeps the per-word
-	// row lookup off the map hash path.
-	rows [][]uint64
+	// pages is the rank's row directory: row key bank*Rows+row lives at
+	// pages[key>>pageShift].rows[key&(pageRows-1)]. Row storage is
+	// allocated lazily one DRAM row at a time (nil page or nil row =
+	// untouched, reads as zero like freshly initialised DRAM in the
+	// model). Within a row, words are indexed by chipColumn*Chips + chip
+	// — each chip's local column address — so the layout matches the
+	// physical chips bit for bit.
+	pages []*rowPage
 
-	// owned is a bitset over rows marking storage this module owns
-	// exclusively. Clone shares row storage between the two modules and
-	// clears both bitsets; a module copies a shared row before its first
-	// write to it (copy-on-write), so clones of a populated template cost
-	// O(rows) pointer copies instead of a deep copy of the contents.
-	owned []uint64
+	// ownedPages is a bitset over pages marking the pages this module
+	// owns exclusively; each owned page's own bitmap (rowPage.owned)
+	// marks the rows it owns exclusively. After a Clone neither side
+	// owns any page, so a module copies a page's row headers before its
+	// first write into the page, and a row's words before its first
+	// write to the row (copy-on-write at both levels).
+	ownedPages []uint64
 
-	// rowsShared marks that rows and owned are still the shared tables of
-	// a Clone pair: the first mutation must replace them with private
-	// copies (unshare) before touching either. Shadow-mode sampled runs
-	// never write the machine, so their clones stay in this state for
-	// their whole lifetime and the clone costs O(1).
-	rowsShared bool
+	// pagesShared marks that pages and ownedPages are still the shared
+	// tables of a Clone pair: ownedPages is then stale, and the first
+	// mutation must replace both (unshare) before touching either.
+	// Shadow-mode sampled runs never write the machine, so their clones
+	// stay in this state for their whole lifetime and the clone costs
+	// O(1).
+	pagesShared bool
 
 	// plans is the precomputed gather-plan table, indexed by
 	// ((shuffledBit*patterns)+pattern)*Cols + column. It is built once at
@@ -76,6 +78,22 @@ type Module struct {
 	// two chip count, avoiding a division per functional word access.
 	chipShift uint
 	chipMask  int
+}
+
+// pageShift sets the row directory's page size: pageRows rows per page.
+// A page's row headers (12 KB) are the unit the first write after a
+// Clone copies, so a run that writes a few hundred rows copies a few
+// pages instead of the whole Banks×Rows table.
+const (
+	pageShift = 9
+	pageRows  = 1 << pageShift
+)
+
+// rowPage is one page of the row directory: pageRows row slices plus the
+// bitset of rows whose storage the page's owner holds exclusively.
+type rowPage struct {
+	rows  [pageRows][]uint64
+	owned [pageRows / 64]uint64
 }
 
 // planKey identifies a cached gather plan in the lazy fallback.
@@ -114,14 +132,15 @@ func NewModuleFunc(p Params, g Geometry, fn ShuffleFunc) (*Module, error) {
 	if fn == nil {
 		fn = DefaultShuffle(p.ShuffleStages)
 	}
+	npages := (g.Banks*g.Rows + pageRows - 1) >> pageShift
 	m := &Module{
-		params:    p,
-		geom:      g,
-		shuffle:   fn,
-		rows:      make([][]uint64, g.Banks*g.Rows),
-		owned:     make([]uint64, (g.Banks*g.Rows+63)/64),
-		chipShift: uint(p.chipBits()),
-		chipMask:  p.Chips - 1,
+		params:     p,
+		geom:       g,
+		shuffle:    fn,
+		pages:      make([]*rowPage, npages),
+		ownedPages: make([]uint64, (npages+63)/64),
+		chipShift:  uint(p.chipBits()),
+		chipMask:   p.Chips - 1,
 	}
 	patterns := int(p.MaxPattern()) + 1
 	if entries := 2 * patterns * g.Cols; entries <= maxDensePlans {
@@ -147,24 +166,22 @@ func NewModuleFunc(p Params, g Geometry, fn ShuffleFunc) (*Module, error) {
 // Clone returns an independent copy of the module's contents. The
 // immutable state — parameters, shuffle function and precomputed gather
 // plans — is shared with the original. Row storage is shared
-// copy-on-write: both modules mark every row as shared and copy a row
-// the first time they write to it, so writes to either module never
-// appear in the other while the clone itself costs only a pointer-slice
-// copy. Cloning a populated module is therefore far cheaper than
-// re-running the writes that populated it, which is how the experiment
-// harness stamps out per-run machines.
+// copy-on-write: both modules mark every page of the row directory as
+// shared, copy a page's row headers the first time they write into the
+// page and a row's words the first time they write to the row, so
+// writes to either module never appear in the other while the clone
+// itself costs O(1). Cloning a populated module is therefore far
+// cheaper than re-running the writes that populated it, which is how
+// the experiment harness stamps out per-run machines.
 func (m *Module) Clone() *Module {
 	n := *m
-	// Neither side owns any row after a clone, so the ownership bitmap
-	// (zeroed here, possibly already shared) and the row table itself
-	// are shared too: the first write through either module copies them
+	// Neither side owns any page after a clone: the directory and page
+	// bitmap are shared, and the first write through either module
+	// replaces them with a private directory copy and a zeroed bitmap
 	// (unshare) before mutating. A clone that never writes the module —
 	// a shadow-overlay sampled run reads and writes only its logical
-	// overlay — costs O(1) per clone instead of a row-table copy.
-	for i := range m.owned {
-		m.owned[i] = 0
-	}
-	m.rowsShared, n.rowsShared = true, true
+	// overlay — never copies anything.
+	m.pagesShared, n.pagesShared = true, true
 	if m.planCache != nil {
 		// Lazy-plan configurations get their own memo map (entries are
 		// immutable and safely shared; the map itself is not).
@@ -182,49 +199,70 @@ func (m *Module) Params() Params { return m.params }
 // Geometry returns the module's storage organisation.
 func (m *Module) Geometry() Geometry { return m.geom }
 
-// rowSlice returns the storage of one DRAM row. With alloc set (the
-// write path) it allocates untouched rows and copies rows still shared
-// with a Clone sibling before returning them, so the caller may mutate
-// the result. It returns nil for an untouched row when alloc is false.
-func (m *Module) rowSlice(bank, row int, alloc bool) []uint64 {
+// row returns the storage of one DRAM row for reading: nil for an
+// untouched row.
+func (m *Module) row(bank, row int) []uint64 {
 	key := bank*m.geom.Rows + row
-	s := m.rows[key]
-	if !alloc {
-		return s
+	p := m.pages[key>>pageShift]
+	if p == nil {
+		return nil
 	}
-	if m.rowsShared {
+	return p.rows[key&(pageRows-1)]
+}
+
+// writableRow returns the storage of one DRAM row for writing. It
+// allocates an untouched row and copies a page or row still shared with
+// a Clone sibling before returning it, so the caller may mutate the
+// result.
+func (m *Module) writableRow(bank, row int) []uint64 {
+	if m.pagesShared {
 		m.unshare()
 	}
-	if bit := uint64(1) << (uint(key) & 63); m.owned[key>>6]&bit == 0 {
+	key := bank*m.geom.Rows + row
+	pi := key >> pageShift
+	p := m.pages[pi]
+	if bit := uint64(1) << (uint(pi) & 63); m.ownedPages[pi>>6]&bit == 0 {
+		np := new(rowPage)
+		if p != nil {
+			np.rows = p.rows // rows stay shared until written
+		}
+		p = np
+		m.pages[pi] = p
+		m.ownedPages[pi>>6] |= bit
+	}
+	r := key & (pageRows - 1)
+	s := p.rows[r]
+	if bit := uint64(1) << (uint(r) & 63); p.owned[r>>6]&bit == 0 {
 		if s == nil {
 			s = make([]uint64, m.geom.Cols*m.params.Chips)
 		} else {
 			s = append([]uint64(nil), s...)
 		}
-		m.rows[key] = s
-		m.owned[key>>6] |= bit
+		p.rows[r] = s
+		p.owned[r>>6] |= bit
 	}
 	return s
 }
 
-// unshare gives the module a private row table and ownership bitmap
-// before its first post-clone write. The sibling keeps the shared
-// (now immutable to us) arrays.
+// unshare gives the module a private page directory and page bitmap
+// before its first post-clone write: Banks·Rows/pageRows pointers, not a
+// header per row. The sibling keeps the shared (now immutable to us)
+// arrays.
 func (m *Module) unshare() {
-	m.rows = append([][]uint64(nil), m.rows...)
-	m.owned = make([]uint64, len(m.owned))
-	m.rowsShared = false
+	m.pages = append([]*rowPage(nil), m.pages...)
+	m.ownedPages = make([]uint64, len(m.ownedPages))
+	m.pagesShared = false
 }
 
 // setWord stores one word at (bank, row, chipCol, chip).
 func (m *Module) setWord(bank, row, chipCol, chip int, v uint64) {
-	m.rowSlice(bank, row, true)[chipCol*m.params.Chips+chip] = v
+	m.writableRow(bank, row)[chipCol*m.params.Chips+chip] = v
 }
 
 // getWord loads one word at (bank, row, chipCol, chip); untouched rows
 // read as zero.
 func (m *Module) getWord(bank, row, chipCol, chip int) uint64 {
-	s := m.rowSlice(bank, row, false)
+	s := m.row(bank, row)
 	if s == nil {
 		return 0
 	}
@@ -325,8 +363,9 @@ func (m *Module) WriteLine(bank, row, col int, patt Pattern, shuffled bool, line
 		return fmt.Errorf("gsdram: line has %d words, want %d", len(line), m.params.Chips)
 	}
 	g := m.plan(patt, col, shuffled)
-	for i := 0; i < m.params.Chips; i++ {
-		m.setWord(bank, row, g.chipCol[i], g.chip[i], line[i])
+	s, n := m.writableRow(bank, row), m.params.Chips
+	for i, w := range line {
+		s[g.chipCol[i]*n+g.chip[i]] = w
 	}
 	return nil
 }
@@ -351,8 +390,14 @@ func (m *Module) ReadLine(bank, row, col int, patt Pattern, shuffled bool, dst [
 		return nil, fmt.Errorf("gsdram: dst has %d words, want %d", len(dst), m.params.Chips)
 	}
 	g := m.plan(patt, col, shuffled)
-	for i := 0; i < m.params.Chips; i++ {
-		dst[i] = m.getWord(bank, row, g.chipCol[i], g.chip[i])
+	s := m.row(bank, row)
+	if s == nil {
+		clear(dst)
+		return g.logical, nil
+	}
+	n := m.params.Chips
+	for i := range dst {
+		dst[i] = s[g.chipCol[i]*n+g.chip[i]]
 	}
 	return g.logical, nil
 }
@@ -398,15 +443,27 @@ func (m *Module) ReadWord(bank, row, logical int, shuffled bool) (uint64, error)
 // (never written) are skipped; they read as zero through every other
 // accessor.
 func (m *Module) ForEachWord(fn func(bank, row, chipCol, chip int, v uint64)) {
-	for key, s := range m.rows {
-		if s == nil {
-			continue
-		}
+	m.forEachRow(func(key int, s []uint64) {
 		bank := key / m.geom.Rows
 		row := key % m.geom.Rows
 		for cc := 0; cc < m.geom.Cols; cc++ {
 			for chip := 0; chip < m.params.Chips; chip++ {
 				fn(bank, row, cc, chip, s[cc*m.params.Chips+chip])
+			}
+		}
+	})
+}
+
+// forEachRow visits every allocated row in ascending key
+// (bank*Rows+row) order.
+func (m *Module) forEachRow(fn func(key int, s []uint64)) {
+	for pi, p := range m.pages {
+		if p == nil {
+			continue
+		}
+		for r, s := range &p.rows {
+			if s != nil {
+				fn(pi<<pageShift|r, s)
 			}
 		}
 	}

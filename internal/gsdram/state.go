@@ -14,19 +14,12 @@ import (
 func (m *Module) Save(w *ckpt.Writer) {
 	w.Tag("module")
 	populated := 0
-	for _, r := range m.rows {
-		if r != nil {
-			populated++
-		}
-	}
+	m.forEachRow(func(int, []uint64) { populated++ })
 	w.U32(uint32(populated))
-	for i, r := range m.rows {
-		if r == nil {
-			continue
-		}
-		w.U32(uint32(i))
-		w.U64s(r)
-	}
+	m.forEachRow(func(key int, s []uint64) {
+		w.U32(uint32(key))
+		w.U64s(s)
+	})
 }
 
 // Load restores contents written by Save into a module built with the
@@ -39,36 +32,40 @@ func (m *Module) Load(r *ckpt.Reader) error {
 		return r.Err()
 	}
 	rowWords := m.geom.Cols * m.params.Chips
-	rows := make([][]uint64, len(m.rows))
+	nrows := m.geom.Banks * m.geom.Rows
+	// The loaded pages and rows are freshly allocated and exclusively
+	// ours — mark them owned so the copy-on-write path does not re-copy
+	// them. The directory and page bitmap are built fresh rather than
+	// reset in place: the current ones may still be shared with a Clone
+	// sibling.
+	pages := make([]*rowPage, len(m.pages))
+	ownedPages := make([]uint64, len(m.ownedPages))
 	for i := 0; i < n; i++ {
 		idx := int(r.U32())
 		words := r.U64s()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if idx >= len(rows) {
-			return fmt.Errorf("gsdram: checkpoint row index %d out of range (%d rows)", idx, len(rows))
+		if idx >= nrows {
+			return fmt.Errorf("gsdram: checkpoint row index %d out of range (%d rows)", idx, nrows)
 		}
 		if len(words) != rowWords {
 			return fmt.Errorf("gsdram: checkpoint row %d has %d words, geometry needs %d", idx, len(words), rowWords)
 		}
-		if rows[idx] != nil {
+		pi, ri := idx>>pageShift, idx&(pageRows-1)
+		p := pages[pi]
+		if p == nil {
+			p = new(rowPage)
+			pages[pi] = p
+			ownedPages[pi>>6] |= 1 << (uint(pi) & 63)
+		}
+		if p.rows[ri] != nil {
 			return fmt.Errorf("gsdram: duplicate checkpoint row %d", idx)
 		}
-		rows[idx] = words
+		p.rows[ri] = words
+		p.owned[ri>>6] |= 1 << (uint(ri) & 63)
 	}
-	m.rows = rows
-	// The loaded rows are freshly allocated and exclusively ours — mark
-	// them owned so the copy-on-write path does not re-copy them. The
-	// bitmap is rebuilt fresh rather than zeroed in place: the current
-	// one may still be shared with a Clone sibling.
-	owned := make([]uint64, len(m.owned))
-	for i, row := range rows {
-		if row != nil {
-			owned[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	m.owned = owned
-	m.rowsShared = false
+	m.pages, m.ownedPages = pages, ownedPages
+	m.pagesShared = false
 	return nil
 }
