@@ -114,19 +114,20 @@ func NewMachine() (*Machine, error) { return machine.Default() }
 
 // ---- Experiments (paper §5) ----
 
-// Options scales the experiment suite.
+// Options scales the experiment suite and carries every per-run switch:
+// Options.NoInline disables the cores' event-horizon fast path, forcing
+// the pure event-driven execution (results are bit-identical either way;
+// it exists as an escape hatch and for equivalence testing, gsbench
+// -noinline), and Options.L2Latency overrides the L2 hit latency (an
+// ablation knob, gsbench -l2-latency). Both apply to the one batch
+// they are passed to, so batches with different settings can run
+// concurrently.
 type Options = bench.Options
 
 // DefaultOptions returns the default experiment scale; QuickOptions a
 // reduced scale for smoke tests.
 func DefaultOptions() Options { return bench.DefaultOptions() }
 func QuickOptions() Options   { return bench.QuickOptions() }
-
-// SetNoInline disables (true) the cores' event-horizon fast path for every
-// subsequently started experiment, forcing the pure event-driven execution.
-// Results are bit-identical either way; the switch exists as an escape
-// hatch and for equivalence testing (gsbench -noinline).
-func SetNoInline(v bool) { bench.SetNoInline(v) }
 
 // TelemetryCapture collects telemetry — per-run metrics registries, the
 // epoch time-series, DRAM command and core stall-phase traces — for one

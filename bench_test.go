@@ -143,10 +143,12 @@ func BenchmarkFig13GEMM(b *testing.B) {
 // on the plain vs GS (pattern 1) layouts. Reported metric: line-fetch
 // ratio (2x fewer lines with gathered keys).
 func BenchmarkKVStore(b *testing.B) {
+	opts := gsdram.DefaultOptions()
+	opts.Seed = 7
 	var r *bench.KVResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = gsdram.RunKVStore(4096, 7)
+		r, err = gsdram.RunKVStore(4096, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,10 +161,12 @@ func BenchmarkKVStore(b *testing.B) {
 // vertex updates. Reported metrics: GS cycles relative to the better
 // specialised layout in each phase.
 func BenchmarkGraphProcessing(b *testing.B) {
+	opts := gsdram.DefaultOptions()
+	opts.Txns = 1500 // vertex updates
 	var r *bench.GraphResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = gsdram.RunGraph(16384, 4, 1500, 42)
+		r, err = gsdram.RunGraph(16384, 4, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

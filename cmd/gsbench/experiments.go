@@ -117,6 +117,8 @@ func (ef *expFlags) options(sampledAlways bool) (gsdram.Options, error) {
 	opts.Txns = ef.txns
 	opts.Seed = ef.seed
 	opts.Workers = ef.workers
+	opts.NoInline = ef.noInline
+	opts.L2Latency = ef.l2Latency
 	sizes, err := parseSizes(ef.gemmStr)
 	if err != nil {
 		return opts, err

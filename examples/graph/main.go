@@ -20,7 +20,9 @@ func main() {
 	degree := flag.Int("degree", 8, "average out-degree")
 	flag.Parse()
 
-	r, err := gsdram.RunGraph(*vertices, *degree, 2000, 42)
+	opts := gsdram.DefaultOptions() // seed 42
+	opts.Txns = 2000                // vertex updates
+	r, err := gsdram.RunGraph(*vertices, *degree, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestSchedulerAblationShape(t *testing.T) {
 // tracks SoA on the scan-heavy PageRank kernel and AoS on random
 // updates.
 func TestGraphShape(t *testing.T) {
-	r, err := RunGraph(16384, 4, 1500, 42)
+	r, err := RunGraph(16384, 4, seeded(42, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestGraphShape(t *testing.T) {
 	if out := r.Table().String(); !strings.Contains(out, "PageRank") {
 		t.Error("table malformed")
 	}
-	if _, err := RunGraph(10, 4, 10, 1); err == nil {
+	if _, err := RunGraph(10, 4, seeded(1, 10)); err == nil {
 		t.Error("bad vertex count accepted")
 	}
 }
@@ -189,7 +189,7 @@ func TestStoreBufferAblation(t *testing.T) {
 // TestPixelsShape: the GS image histograms with ~8x fewer line fetches;
 // shading stays at parity (whole-record access).
 func TestPixelsShape(t *testing.T) {
-	r, err := RunPixels(8192, 500, 9)
+	r, err := RunPixels(8192, 500, seeded(9, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPixelsShape(t *testing.T) {
 	if !strings.Contains(r.Table().String(), "patt 7") {
 		t.Error("table malformed")
 	}
-	if _, err := RunPixels(10, 5, 1); err == nil {
+	if _, err := RunPixels(10, 5, seeded(1, 0)); err == nil {
 		t.Error("bad pixel count accepted")
 	}
 }
@@ -243,10 +243,10 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if _, err := RunFig13(opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunKVStore(256, 1); err != nil {
+	if _, err := RunKVStore(256, seeded(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunGraph(1024, 4, 100, 1); err != nil {
+	if _, err := RunGraph(1024, 4, seeded(1, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunChannels(opts); err != nil {
@@ -267,7 +267,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if _, err := RunSchedulerAblation(opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPixels(512, 50, 1); err != nil {
+	if _, err := RunPixels(512, 50, seeded(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

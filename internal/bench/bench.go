@@ -21,7 +21,6 @@ import (
 	"gsdram/internal/memsys"
 	"gsdram/internal/runner"
 	"gsdram/internal/sample"
-	"gsdram/internal/sim"
 )
 
 // SimVersion names the simulator's semantic version. It participates in
@@ -70,6 +69,18 @@ type Options struct {
 	// Telemetry observes without mutating — results are bit-identical
 	// with capture on or off.
 	Capture *Capture
+	// NoInline disables every core's event-horizon fast path (see
+	// internal/cpu): each op then schedules through the event queue,
+	// exactly reproducing the pure event-driven execution. It backs the
+	// gsbench -noinline escape hatch and the equivalence tests; results
+	// are bit-identical either way. Sampled runs fast-forward through
+	// their own core and ignore it.
+	NoInline bool `json:",omitempty"`
+	// L2Latency, when non-zero, overrides the model's L2 hit latency in
+	// CPU cycles for every rig of the batch. It is an ablation knob for
+	// regression-forensics testing: perturbing one latency stage on
+	// purpose gives `gsbench explain` a known-cause delta to attribute.
+	L2Latency uint64 `json:",omitempty"`
 }
 
 // pool returns the worker pool the experiment's runs are submitted to.
@@ -132,21 +143,6 @@ type RunMetrics struct {
 	Energy    energy.Report
 }
 
-// runConfig describes one single-workload simulation.
-type runConfig struct {
-	layout   imdb.Layout
-	tuples   int
-	prefetch bool
-	cores    int
-	// label names the run for telemetry capture (e.g. "fig9/GS-DRAM/
-	// 50-25-25"). Empty disables capture for this rig even when the
-	// batch has a capture context; labels must be unique within a batch.
-	label string
-	// capture is the batch's telemetry sink (Options.Capture); nil
-	// builds an untelemetered rig regardless of label.
-	capture *Capture
-}
-
 // rigTemplates caches one populated machine+DB per (layout, tuples):
 // population is deterministic, so every run with the same key starts from
 // bit-identical state whether it clones the template or rebuilds from
@@ -185,117 +181,6 @@ func templateDB(layout imdb.Layout, tuples int) (*imdb.DB, error) {
 		rigTemplates.m[key] = tpl
 	}
 	return tpl.Clone(), nil
-}
-
-// newRig builds a fresh machine + DB + memory system for a run. Every run
-// gets its own state so experiments are independent.
-func newRig(rc runConfig) (*machine.Machine, *imdb.DB, *sim.EventQueue, *memsys.System, error) {
-	db, err := templateDB(rc.layout, rc.tuples)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	mach := db.Machine()
-	q := &sim.EventQueue{}
-	cfg := defaultConfig(rc.cores)
-	cfg.EnablePrefetch = rc.prefetch
-	cfg.Metrics, cfg.Mem.Observer, cfg.Flight = telemetryForRig(rc.capture, rc.label, q)
-	if cfg.Metrics != nil {
-		cfg.LatencyTraceCap = maxLatencyTraces
-	}
-	mem, err := memsys.New(cfg, q)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return mach, db, q, mem, nil
-}
-
-// measure assembles the metrics after a run completes.
-func measure(q *sim.EventQueue, mem *memsys.System, cores []*cpu.Core) RunMetrics {
-	var m RunMetrics
-	for _, c := range cores {
-		st := c.Stats()
-		m.CoreStats = append(m.CoreStats, st)
-		if rt := uint64(st.FinishCycle); rt > m.Cycles {
-			m.Cycles = rt
-		}
-	}
-	m.Mem = mem.Stats()
-	m.Ctrl = mem.MemStats()
-	l1, l2 := mem.CacheStats()
-	var instrs uint64
-	for _, st := range m.CoreStats {
-		instrs += st.Instructions
-	}
-	m.Energy = energy.Estimate(energy.Activity{
-		Runtime:      sim.Cycle(m.Cycles),
-		FreqGHz:      4,
-		Cores:        len(cores),
-		Instructions: instrs,
-		L1:           l1,
-		L2:           l2,
-		Mem:          mem.MemStats(),
-	}, energy.DefaultDRAM(), energy.DefaultCPU())
-	return m
-}
-
-// noInline disables every core's event-horizon fast path (see
-// internal/cpu): each op then schedules through the event queue, exactly
-// reproducing the pure event-driven execution. It backs the gsbench
-// -noinline escape hatch and the equivalence tests; results must be
-// bit-identical either way.
-var noInline bool
-
-// SetNoInline toggles the inline fast path for every core built by
-// subsequent experiment runs. Call it before starting experiments; it is
-// read (never written) by concurrent runs.
-func SetNoInline(v bool) { noInline = v }
-
-// l2Latency, when non-zero, overrides the model's L2 hit latency for
-// every rig built by subsequent runs. It is an ablation knob for
-// regression-forensics testing: perturbing one latency stage on purpose
-// gives `gsbench explain` a known-cause delta to attribute. Like
-// noInline it is process-wide; spec.Run serializes specs that set it.
-var l2Latency sim.Cycle
-
-// SetL2Latency overrides the L2 hit latency in CPU cycles for every rig
-// built by subsequent experiment runs (0 restores the model default).
-// Call it before starting experiments.
-func SetL2Latency(v uint64) { l2Latency = sim.Cycle(v) }
-
-// defaultConfig is memsys.DefaultConfig plus the process-wide ablation
-// overrides. Every rig the bench package builds goes through it.
-func defaultConfig(cores int) memsys.Config {
-	cfg := memsys.DefaultConfig(cores)
-	if l2Latency > 0 {
-		cfg.L2Latency = l2Latency
-	}
-	return cfg
-}
-
-// runStreams executes one stream per core to completion and returns the
-// metrics.
-func runStreams(q *sim.EventQueue, mem *memsys.System, streams []cpu.Stream) RunMetrics {
-	return runStreamsSB(q, mem, streams, 0)
-}
-
-// runStreamsSB is runStreams with a per-core store-buffer capacity.
-func runStreamsSB(q *sim.EventQueue, mem *memsys.System, streams []cpu.Stream, sbCap int) RunMetrics {
-	cores := make([]*cpu.Core, len(streams))
-	for i, s := range streams {
-		cores[i] = cpu.NewWithStoreBuffer(i, q, mem, s, nil, sbCap)
-		cores[i].SetNoInline(noInline)
-		cores[i].Start(0)
-	}
-	rt := takeTelemetry(q)
-	rt.start(q, mem, cores)
-	q.Run()
-	for _, c := range cores {
-		if !c.Stats().Finished {
-			panic("bench: core did not finish")
-		}
-	}
-	rt.finish(q, cores)
-	return measure(q, mem, cores)
 }
 
 // layouts is the fixed comparison order used by every IMDB figure.

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"gsdram/internal/addrmap"
-	"gsdram/internal/cpu"
 	"gsdram/internal/gsdram"
 	"gsdram/internal/imdb"
 	"gsdram/internal/machine"
-	"gsdram/internal/memsys"
-	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
 
@@ -53,11 +50,10 @@ func RunChannels(opts Options) (*ChannelsResult, error) {
 		if err != nil {
 			return err
 		}
-		q := &sim.EventQueue{}
-		cfg := defaultConfig(2)
+		cfg := opts.memConfig(2)
 		cfg.EnablePrefetch = true
 		cfg.Mem.Spec = spec
-		mem, err := memsys.New(cfg, q)
+		r, err := opts.newRig("", cfg)
 		if err != nil {
 			return err
 		}
@@ -70,7 +66,7 @@ func RunChannels(opts Options) (*ChannelsResult, error) {
 		if err != nil {
 			return err
 		}
-		m := runStreams(q, mem, []cpu.Stream{sA, sB})
+		m := r.run(0, sA, sB)
 		checkSums(&arA, opts.Tuples, []int{0})
 		checkSums(&arB, opts.Tuples, []int{0})
 		res.Cycles[i] = m.Cycles

@@ -6,9 +6,6 @@ import (
 	"gsdram/internal/cpu"
 	"gsdram/internal/graph"
 	"gsdram/internal/machine"
-	"gsdram/internal/memsys"
-	"gsdram/internal/runner"
-	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
 
@@ -27,22 +24,24 @@ var graphLayouts = []graph.Layout{graph.AoS, graph.SoA, graph.GS}
 
 // RunGraph runs two PageRank-style iterations (scan-heavy: favours SoA)
 // and a random multi-field vertex-update batch (favours AoS) on each
-// layout. GS-DRAM should track the better layout in both.
-func RunGraph(vertices, avgDeg, updates int, seed uint64) (*GraphResult, error) {
+// layout. GS-DRAM should track the better layout in both. The update
+// batch has opts.Txns updates; the graph and the batch are drawn from
+// opts.Seed.
+func RunGraph(vertices, avgDeg int, opts Options) (*GraphResult, error) {
 	if vertices <= 0 || vertices%8 != 0 {
 		return nil, fmt.Errorf("bench: vertices must be a positive multiple of 8")
 	}
 	res := &GraphResult{Vertices: vertices, AvgDeg: avgDeg}
 	// One job per (layout, kernel): kernel 0 is PageRank, kernel 1 the
 	// random update batch. Every job rebuilds the same seeded graph.
-	err := (runner.Pool{}).Run(len(graphLayouts)*2, func(j int) error {
+	err := opts.pool().Run(len(graphLayouts)*2, func(j int) error {
 		li, kernel := j/2, j%2
 		layout := graphLayouts[li]
 		mach, err := machine.Default()
 		if err != nil {
 			return err
 		}
-		g, err := graph.NewRandom(mach, layout, vertices, avgDeg, seed)
+		g, err := graph.NewRandom(mach, layout, vertices, avgDeg, opts.Seed)
 		if err != nil {
 			return err
 		}
@@ -56,17 +55,16 @@ func RunGraph(vertices, avgDeg, updates int, seed uint64) (*GraphResult, error) 
 			}
 			s, err = g.PageRankStream(2, &pr)
 		} else {
-			s, err = g.UpdateStream(updates, 3, seed+1)
+			s, err = g.UpdateStream(opts.Txns, 3, opts.Seed+1)
 		}
 		if err != nil {
 			return err
 		}
-		q := &sim.EventQueue{}
-		mem, err := memsys.New(defaultConfig(1), q)
+		r, err := opts.newRig("", opts.memConfig(1))
 		if err != nil {
 			return err
 		}
-		m := runStreams(q, mem, []cpu.Stream{s})
+		m := r.run(0, s)
 		if kernel == 0 {
 			if pr.RankSum != want {
 				return fmt.Errorf("bench: %v PageRank sum %d, want %d", layout, pr.RankSum, want)

@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"gsdram/internal/cpu"
 	"gsdram/internal/imdb"
 	"gsdram/internal/sample"
-	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
 
@@ -37,8 +35,11 @@ func RunFig9(opts Options) (*Fig9Result, error) {
 		if opts.Sample != nil {
 			label = "" // sampled rigs are untelemetered
 		}
-		mach, db, q, mem, err := newRig(runConfig{layout: layout, tuples: opts.Tuples, cores: 1,
-			label: label, capture: opts.Capture})
+		db, err := templateDB(layout, opts.Tuples)
+		if err != nil {
+			return err
+		}
+		r, err := opts.newRig(label, opts.memConfig(1))
 		if err != nil {
 			return err
 		}
@@ -49,12 +50,12 @@ func RunFig9(opts Options) (*Fig9Result, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), mach, q, mem, s)
+			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), db.Machine(), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: %v/%v sampled: %w", layout, mix, err)
 			}
 		} else {
-			m = runStreams(q, mem, []cpu.Stream{s})
+			m = r.run(0, s)
 		}
 		if tr.Completed != uint64(opts.Txns) {
 			return fmt.Errorf("bench: %v/%v completed %d txns, want %d", layout, mix, tr.Completed, opts.Txns)
@@ -186,8 +187,13 @@ func RunFig10(opts Options) (*Fig10Result, error) {
 		if opts.Sample != nil {
 			label = ""
 		}
-		mach, db, q, mem, err := newRig(runConfig{layout: layout, tuples: opts.Tuples, cores: 1, prefetch: pt.Prefetch,
-			label: label, capture: opts.Capture})
+		db, err := templateDB(layout, opts.Tuples)
+		if err != nil {
+			return err
+		}
+		cfg := opts.memConfig(1)
+		cfg.EnablePrefetch = pt.Prefetch
+		r, err := opts.newRig(label, cfg)
 		if err != nil {
 			return err
 		}
@@ -202,12 +208,12 @@ func RunFig10(opts Options) (*Fig10Result, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), mach, q, mem, s)
+			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), db.Machine(), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: fig10 %v sampled: %w", layout, err)
 			}
 		} else {
-			m = runStreams(q, mem, []cpu.Stream{s})
+			m = r.run(0, s)
 		}
 		checkSums(&ar, opts.Tuples, columns)
 		runs[j] = m
@@ -318,8 +324,13 @@ func RunFig11(opts Options) (*Fig11Result, error) {
 	runs := make([]htapRun, len(layouts)*2)
 	err := opts.pool().Run(len(runs), func(j int) error {
 		layout, prefetch := layouts[j/2], j%2 == 1
-		_, db, q, mem, err := newRig(runConfig{layout: layout, tuples: opts.Tuples, cores: 2, prefetch: prefetch,
-			label: fmt.Sprintf("fig11/%v/prefetch=%v", layout, prefetch), capture: opts.Capture})
+		db, err := templateDB(layout, opts.Tuples)
+		if err != nil {
+			return err
+		}
+		cfg := opts.memConfig(2)
+		cfg.EnablePrefetch = prefetch
+		r, err := opts.newRig(fmt.Sprintf("fig11/%v/prefetch=%v", layout, prefetch), cfg)
 		if err != nil {
 			return err
 		}
@@ -333,22 +344,7 @@ func RunFig11(opts Options) (*Fig11Result, error) {
 		if err != nil {
 			return err
 		}
-
-		txnCore := cpu.New(1, q, mem, ts, nil)
-		txnCore.SetNoInline(noInline)
-		var analyticsDone sim.Cycle
-		anaCore := cpu.New(0, q, mem, as, func(now sim.Cycle) {
-			analyticsDone = now
-			txnCore.Stop()
-		})
-		anaCore.SetNoInline(noInline)
-		anaCore.Start(0)
-		txnCore.Start(0)
-		cores := []*cpu.Core{anaCore, txnCore} // index == core ID
-		rt := takeTelemetry(q)
-		rt.start(q, mem, cores)
-		q.Run()
-		rt.finish(q, cores)
+		analyticsDone := r.runHTAP(as, ts)
 
 		// The analytics thread mutates nothing, so the column sum must
 		// still be exact even with concurrent writers to other fields:

@@ -8,8 +8,6 @@ import (
 	"gsdram/internal/graph"
 	"gsdram/internal/imdb"
 	"gsdram/internal/machine"
-	"gsdram/internal/memsys"
-	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
 
@@ -90,17 +88,11 @@ func (r *IndexedResult) Table() *stats.Table {
 // runIndexedRig simulates one variant's stream on a fresh single-core
 // rig and folds its metrics into slot i of the result.
 func runIndexedRig(r *IndexedResult, i int, opts Options, s cpu.Stream) error {
-	q := &sim.EventQueue{}
-	cfg := defaultConfig(1)
-	cfg.Metrics, cfg.Mem.Observer, cfg.Flight = telemetryForRig(opts.Capture, r.Name+"/"+indexedVariants[i], q)
-	if cfg.Metrics != nil {
-		cfg.LatencyTraceCap = maxLatencyTraces
-	}
-	mem, err := memsys.New(cfg, q)
+	rg, err := opts.newRig(r.Name+"/"+indexedVariants[i], opts.memConfig(1))
 	if err != nil {
 		return err
 	}
-	m := runStreams(q, mem, []cpu.Stream{s})
+	m := rg.run(0, s)
 	r.Cycles[i] = m.Cycles
 	r.DRAMReads[i] = m.Ctrl.ReadsServed
 	r.Bursts[i] = m.Mem.GathervBursts

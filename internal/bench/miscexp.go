@@ -11,8 +11,6 @@ import (
 	"gsdram/internal/kvstore"
 	"gsdram/internal/machine"
 	"gsdram/internal/memctrl"
-	"gsdram/internal/memsys"
-	"gsdram/internal/runner"
 	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
@@ -120,13 +118,14 @@ type KVResult struct {
 }
 
 // RunKVStore compares full-key-scan lookups on the plain and GS layouts.
-func RunKVStore(pairs int, seed uint64) (*KVResult, error) {
+// The inserted pairs are drawn from opts.Seed.
+func RunKVStore(pairs int, opts Options) (*KVResult, error) {
 	if pairs <= 0 || pairs%8 != 0 {
 		return nil, fmt.Errorf("bench: pairs must be a positive multiple of 8")
 	}
 	res := &KVResult{Pairs: pairs}
 	// Both layouts insert the same pairs (the rng is re-seeded per job).
-	err := (runner.Pool{}).Run(2, func(idx int) error {
+	err := opts.pool().Run(2, func(idx int) error {
 		gs := idx == 1
 		mach, err := machine.Default()
 		if err != nil {
@@ -136,7 +135,7 @@ func RunKVStore(pairs int, seed uint64) (*KVResult, error) {
 		if err != nil {
 			return err
 		}
-		rng := sim.NewRand(seed)
+		rng := sim.NewRand(opts.Seed)
 		for i := 0; i < pairs; i++ {
 			if _, err := st.Insert(rng.Uint64()|1, rng.Uint64()); err != nil {
 				return err
@@ -152,12 +151,11 @@ func RunKVStore(pairs int, seed uint64) (*KVResult, error) {
 		if found {
 			return fmt.Errorf("bench: phantom kv hit")
 		}
-		q := &sim.EventQueue{}
-		mem, err := memsys.New(defaultConfig(1), q)
+		r, err := opts.newRig("", opts.memConfig(1))
 		if err != nil {
 			return err
 		}
-		m := runStreams(q, mem, []cpu.Stream{cpu.SliceStream(scan)})
+		m := r.run(0, cpu.SliceStream(scan))
 		res.ScanLines[idx] = m.Mem.DRAMReads
 		res.LookupCycle[idx] = m.Cycles
 		return nil
@@ -202,18 +200,13 @@ func RunAutoGather(opts Options) (*AutoGatherResult, error) {
 	modes := []mode{{false, false}, {true, false}, {true, true}}
 	err := opts.pool().Run(len(modes), func(i int) error {
 		md := modes[i]
-		mach, err := machine.Default()
+		db, err := templateDB(imdb.GSStore, opts.Tuples)
 		if err != nil {
 			return err
 		}
-		db, err := imdb.New(mach, imdb.GSStore, opts.Tuples)
-		if err != nil {
-			return err
-		}
-		q := &sim.EventQueue{}
-		cfg := defaultConfig(1)
+		cfg := opts.memConfig(1)
 		cfg.AutoPattern = md.auto
-		mem, err := memsys.New(cfg, q)
+		r, err := opts.newRig("", cfg)
 		if err != nil {
 			return err
 		}
@@ -227,12 +220,12 @@ func RunAutoGather(opts Options) (*AutoGatherResult, error) {
 		if err != nil {
 			return err
 		}
-		m := runStreams(q, mem, []cpu.Stream{s})
+		m := r.run(0, s)
 		checkSums(&ar, opts.Tuples, []int{0})
 		res.Cycles[i] = m.Cycles
 		res.LineReads[i] = m.Mem.DRAMReads
 		if md.auto {
-			res.Promoted = mem.AutoPattStats().Promoted
+			res.Promoted = r.mem.AutoPattStats().Promoted
 		}
 		return nil
 	})
@@ -286,76 +279,46 @@ func RunSchedulerAblation(opts Options) (*SchedulerAblationResult, error) {
 	err := opts.pool().Run(len(pols)*3, func(j int) error {
 		pi, sub := j/3, j%3
 		pol := pols[pi]
-		if sub < 2 {
-			wi := sub
-			mach, err := machine.Default()
-			if err != nil {
-				return err
-			}
-			db, err := imdb.New(mach, imdb.GSStore, opts.Tuples)
-			if err != nil {
-				return err
-			}
-			q := &sim.EventQueue{}
-			cfg := defaultConfig(1)
-			cfg.Mem.Sched = pol.sched
-			cfg.Mem.Row = pol.row
-			mem, err := memsys.New(cfg, q)
-			if err != nil {
-				return err
-			}
-			var s cpu.Stream
-			if wi == 0 {
-				s, err = db.AnalyticsStream([]int{0}, nil)
-			} else {
-				s, err = db.TransactionStream(imdb.TxnMix{RO: 2, WO: 1, RW: 1}, opts.Txns, opts.Seed, nil)
-			}
-			if err != nil {
-				return err
-			}
-			m := runStreams(q, mem, []cpu.Stream{s})
-			res.Cycles[pi][wi] = m.Cycles
-			return nil
-		}
-
-		// HTAP: analytics + transactions on two cores, prefetching on.
-		mach, err := machine.Default()
+		db, err := templateDB(imdb.GSStore, opts.Tuples)
 		if err != nil {
 			return err
 		}
-		db, err := imdb.New(mach, imdb.GSStore, opts.Tuples)
-		if err != nil {
-			return err
+		// The HTAP mix runs on two cores with prefetching on.
+		htap := sub == 2
+		cores := 1
+		if htap {
+			cores = 2
 		}
-		q := &sim.EventQueue{}
-		cfg := defaultConfig(2)
-		cfg.EnablePrefetch = true
+		cfg := opts.memConfig(cores)
+		cfg.EnablePrefetch = htap
 		cfg.Mem.Sched = pol.sched
 		cfg.Mem.Row = pol.row
-		mem, err := memsys.New(cfg, q)
+		r, err := opts.newRig("", cfg)
 		if err != nil {
 			return err
+		}
+		if sub == 1 {
+			s, err := db.TransactionStream(imdb.TxnMix{RO: 2, WO: 1, RW: 1}, opts.Txns, opts.Seed, nil)
+			if err != nil {
+				return err
+			}
+			res.Cycles[pi][1] = r.run(0, s).Cycles
+			return nil
 		}
 		as, err := db.AnalyticsStream([]int{0}, nil)
 		if err != nil {
 			return err
+		}
+		if sub == 0 {
+			res.Cycles[pi][0] = r.run(0, as).Cycles
+			return nil
 		}
 		var tr imdb.TxnResult
 		ts, err := db.TransactionStream(imdb.TxnMix{RO: 1, WO: 1}, 0, opts.Seed, &tr)
 		if err != nil {
 			return err
 		}
-		txnCore := cpu.New(1, q, mem, ts, nil)
-		txnCore.SetNoInline(noInline)
-		var done sim.Cycle
-		anaCore := cpu.New(0, q, mem, as, func(now sim.Cycle) {
-			done = now
-			txnCore.Stop()
-		})
-		anaCore.SetNoInline(noInline)
-		anaCore.Start(0)
-		txnCore.Start(0)
-		q.Run()
+		done := r.runHTAP(as, ts)
 		res.HTAPThroughput[pi] = float64(tr.Completed) / (float64(done) / 4e9)
 		return nil
 	})

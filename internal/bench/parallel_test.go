@@ -47,4 +47,28 @@ func TestWorkersDeterminism(t *testing.T) {
 		t.Errorf("Fig10 tables differ:\n-- serial --\n%s\n-- parallel --\n%s",
 			s10.Table().String(), p10.Table().String())
 	}
+
+	// The §5.3 use cases take their sizes as arguments and the rest from
+	// Options, Workers included.
+	serial.Txns, par.Txns = 100, 100 // graph vertex updates
+	for _, run := range []struct {
+		name string
+		fn   func(Options) (any, error)
+	}{
+		{"graph", func(o Options) (any, error) { return RunGraph(1024, 4, o) }},
+		{"kvstore", func(o Options) (any, error) { return RunKVStore(256, o) }},
+		{"pixels", func(o Options) (any, error) { return RunPixels(512, 50, o) }},
+	} {
+		s, err := run.fn(serial)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		p, err := run.fn(par)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if !reflect.DeepEqual(s, p) {
+			t.Errorf("%s results differ between Workers=1 and Workers=8:\n%+v\n%+v", run.name, s, p)
+		}
+	}
 }

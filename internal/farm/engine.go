@@ -41,10 +41,11 @@ type Runner func(*spec.Spec) ([]byte, error)
 // Options configures an Engine.
 type Options struct {
 	// Workers is the number of concurrently executing sweep points in
-	// this process (0 = GOMAXPROCS). Telemetered and untelemetered
-	// points alike run concurrently — telemetry capture is per-rig (see
-	// internal/bench.Capture), not session-global — and each point
-	// additionally parallelizes internally via its spec's Workers field.
+	// this process (0 = GOMAXPROCS). Every point may run concurrently
+	// with every other — telemetry capture (internal/bench.Capture) and
+	// the noinline and l2_latency settings travel with the point's own
+	// bench.Options — and each point additionally parallelizes
+	// internally via its spec's Workers field.
 	Workers int
 	// Retries is how many times a point is re-executed after a worker
 	// failure (error or panic) before the point is marked failed.

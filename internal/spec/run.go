@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"gsdram/internal/bench"
@@ -13,36 +12,6 @@ import (
 	"gsdram/internal/stats"
 	"gsdram/internal/telemetry"
 )
-
-// runMu guards the simulator's process-wide switches: the noinline
-// escape hatch (bench.SetNoInline) and the L2-latency ablation override
-// (bench.SetL2Latency). Specs that leave both at their defaults —
-// including telemetered specs, whose capture context is per-rig
-// (bench.Capture) rather than session-global — run concurrently under
-// the read lock; a spec setting either takes the write lock, flips the
-// global, runs, and restores the default before unlocking. The
-// invariant is that the globals are at their defaults whenever the
-// write lock is free. Telemetered sweep points therefore run
-// concurrently within one process, bit-identical to serial execution;
-// each point additionally parallelizes internally via Spec.Workers.
-var runMu sync.RWMutex
-
-// lockFor takes the lock appropriate for the spec's process-wide
-// switches and applies them, returning the undo.
-func lockFor(s *Spec) (unlock func()) {
-	if s.NoInline || s.L2Latency != 0 {
-		runMu.Lock()
-		bench.SetNoInline(s.NoInline)
-		bench.SetL2Latency(s.L2Latency)
-		return func() {
-			bench.SetNoInline(false)
-			bench.SetL2Latency(0)
-			runMu.Unlock()
-		}
-	}
-	runMu.RLock()
-	return runMu.RUnlock
-}
 
 // Outcome is one executed spec: the structured experiment result plus
 // everything a run document needs.
@@ -64,8 +33,9 @@ type Outcome struct {
 }
 
 // Run validates and executes one spec, constructing the rig exactly as
-// the CLI would for the equivalent flags. It is safe for concurrent use
-// (see runMu).
+// the CLI would for the equivalent flags. It is safe for concurrent use:
+// every setting, NoInline and L2Latency included, travels in the
+// spec's bench.Options, and the telemetry capture is per call.
 func Run(s *Spec) (*Outcome, error) { return RunFlight(s, 0) }
 
 // RunFlight is Run with a flight recorder armed on every rig at the
@@ -83,8 +53,6 @@ func RunFlight(s *Spec, flightDepth int) (*Outcome, error) {
 	}
 	run, _ := lookup(s.Experiment) // Validate checked membership
 	opts := s.BenchOptions()
-
-	defer lockFor(s)()
 	var capture *bench.Capture
 	if s.Telemetry {
 		capture = bench.NewCapture(s.Epoch)
@@ -149,7 +117,6 @@ func DumpFlight(s *Spec, depth int, w io.Writer) (err error) {
 				err = fmt.Errorf("spec: dump-flight re-run panicked: %v", r)
 			}
 		}()
-		defer lockFor(norm)()
 		if _, _, _, rerr := run(norm, opts); rerr != nil {
 			err = rerr
 		}

@@ -114,10 +114,9 @@ func TestRunSeedChangesResult(t *testing.T) {
 	}
 }
 
-// TestRunConcurrent exercises the read-lock path: untelemetered and
-// telemetered specs alike run concurrently (only NoInline takes the
-// write lock), and mixing them must not corrupt either side. Run under
-// -race.
+// TestRunConcurrent: untelemetered and telemetered specs run
+// concurrently in one process, and mixing them must not corrupt either
+// side. Run under -race.
 func TestRunConcurrent(t *testing.T) {
 	base, err := RunDocument(quickSpec())
 	if err != nil {
@@ -162,39 +161,77 @@ func TestRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestTelemeteredRunHoldsOnlyReadLock pins the tentpole property of the
-// per-rig capture model: a telemetered spec must not take runMu's write
-// lock, so other points (telemetered or not) can run alongside it in
-// one process. The probe polls TryRLock while the telemetered run is in
-// flight; under the old session-global capture it could never succeed
-// until the run finished, so requiring one success before completion
-// fails deterministically on a write-locked implementation.
-func TestTelemeteredRunHoldsOnlyReadLock(t *testing.T) {
-	s := quickSpec()
-	s.Telemetry = true
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(s)
-		done <- err
-	}()
-	overlapped := false
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("telemetered run: %v", err)
-			}
-			if !overlapped {
-				t.Fatalf("runMu was write-locked for the entire telemetered run; telemetered points would serialize")
-			}
-			return
-		default:
+// TestConcurrentOptionSpecsMatchSerial pins that every per-run setting
+// travels with its own run: a default spec, a NoInline spec, an
+// L2Latency spec and a telemetered spec executed concurrently in one
+// process each produce the document (modulo wall_ns) they produce
+// alone, so no setting leaks into a neighbouring run. NoInline must
+// leave results unchanged and L2Latency must change them — a rig that
+// ignored the option would fail one or the other.
+func TestConcurrentOptionSpecsMatchSerial(t *testing.T) {
+	specs := []*Spec{quickSpec(), quickSpec(), quickSpec(), quickSpec()}
+	specs[1].NoInline = true
+	specs[2].L2Latency = 60
+	specs[3].Telemetry = true
+
+	serial := make([][]byte, len(specs))
+	for i, s := range specs {
+		doc, err := RunDocument(s)
+		if err != nil {
+			t.Fatalf("serial run %d: %v", i, err)
 		}
-		if runMu.TryRLock() {
-			runMu.RUnlock()
-			overlapped = true
+		serial[i] = zeroWallNS(t, doc)
+	}
+
+	docs := make([][]byte, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, s := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			docs[i], errs[i] = RunDocument(s)
+		}()
+	}
+	wg.Wait()
+	for i := range specs {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(zeroWallNS(t, docs[i]), serial[i]) {
+			t.Errorf("concurrent run %d diverged from its serial execution", i)
 		}
 	}
+
+	base, noInline, l2 := resultOf(t, serial[0]), resultOf(t, serial[1]), resultOf(t, serial[2])
+	if !bytes.Equal(noInline, base) {
+		t.Errorf("NoInline changed the results")
+	}
+	if bytes.Equal(l2, base) {
+		t.Errorf("L2Latency 60 left the results unchanged")
+	}
+}
+
+// resultOf extracts the first experiment's result and summary from a
+// run document, minus the result's Opts echo of the settings.
+func resultOf(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var d struct {
+		Experiments []struct {
+			Summary any            `json:"summary"`
+			Result  map[string]any `json:"result"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(doc, &d); err != nil || len(d.Experiments) == 0 {
+		t.Fatalf("decode document: %v", err)
+	}
+	e := d.Experiments[0]
+	delete(e.Result, "Opts")
+	out, err := json.Marshal([]any{e.Summary, e.Result})
+	if err != nil {
+		t.Fatalf("re-marshal result: %v", err)
+	}
+	return out
 }
 
 // TestConcurrentTelemeteredRunsMatchSerial: two telemetered specs

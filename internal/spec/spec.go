@@ -182,6 +182,8 @@ func (s *Spec) BenchOptions() bench.Options {
 		o.GemmSizes = append([]int(nil), s.GemmSizes...)
 	}
 	o.Sample = s.Sample.Config()
+	o.NoInline = s.NoInline
+	o.L2Latency = s.L2Latency
 	return o
 }
 

@@ -97,7 +97,12 @@ type Run struct {
 	// events per component). Nil unless the capture armed one.
 	Flight *flight.Recorder
 
-	// End is the cycle the run finished at.
+	// End is the rig's clock when its event queue drained. With the epoch
+	// sampler armed that is the sampler's last tick, the first epoch
+	// boundary at or after the cores finished, so End is the finish
+	// cycle rounded up to the epoch: at an epoch longer than the run it
+	// is exactly one epoch whatever the run did. The cores' own finish
+	// cycles are in Cores.
 	End sim.Cycle
 }
 
