@@ -97,24 +97,40 @@ type Stream interface {
 	Next() (Op, bool)
 }
 
-// FuncStream adapts a function to the Stream interface.
-type FuncStream func() (Op, bool)
+// Refill is a Stream that drains a reused op buffer by index. When the
+// buffer runs dry, Next calls fill with the buffer reset to length 0;
+// fill appends the next batch of ops and returns the slice, or returns
+// it empty at end of stream. After end of stream fill is never called
+// again. Reusing one backing array keeps a generator's steady state free
+// of allocations.
+type Refill struct {
+	buf  []Op
+	head int
+	fill func(ops []Op) []Op
+}
+
+// NewRefill returns a Stream that generates its ops in batches by fill.
+func NewRefill(fill func(ops []Op) []Op) *Refill { return &Refill{fill: fill} }
 
 // Next implements Stream.
-func (f FuncStream) Next() (Op, bool) { return f() }
-
-// SliceStream returns a Stream over a fixed op sequence.
-func SliceStream(ops []Op) Stream {
-	i := 0
-	return FuncStream(func() (Op, bool) {
-		if i >= len(ops) {
+func (s *Refill) Next() (Op, bool) {
+	if s.head == len(s.buf) {
+		if s.fill == nil {
 			return Op{}, false
 		}
-		op := ops[i]
-		i++
-		return op, true
-	})
+		s.buf, s.head = s.fill(s.buf[:0]), 0
+		if len(s.buf) == 0 {
+			s.fill = nil
+			return Op{}, false
+		}
+	}
+	op := s.buf[s.head]
+	s.head++
+	return op, true
 }
+
+// SliceStream returns a Stream over a fixed op sequence.
+func SliceStream(ops []Op) Stream { return &Refill{buf: ops} }
 
 // Stats describes a core's execution. It is the compatibility snapshot
 // returned by Core.Stats; the counter fields live in the coreCounters

@@ -121,9 +121,9 @@ func TestOnDoneCallback(t *testing.T) {
 func TestStopHaltsInfiniteStream(t *testing.T) {
 	r := newRig(t, 1)
 	n := 0
-	inf := FuncStream(func() (Op, bool) {
+	inf := NewRefill(func(ops []Op) []Op {
 		n++
-		return Compute(10), true
+		return append(ops, Compute(10))
 	})
 	var core *Core
 	core = New(0, r.q, r.mem, inf, nil)
@@ -145,12 +145,12 @@ func TestTwoCoresInterleave(t *testing.T) {
 	r := newRig(t, 2)
 	mk := func(core int, bank int) Stream {
 		i := 0
-		return FuncStream(func() (Op, bool) {
+		return NewRefill(func(ops []Op) []Op {
 			if i >= 20 {
-				return Op{}, false
+				return ops
 			}
 			i++
-			return Load(addr(bank, 1, i), uint64(core)), true
+			return append(ops, Load(addr(bank, 1, i), uint64(core)))
 		})
 	}
 	c0 := New(0, r.q, r.mem, mk(0, 0), nil)

@@ -139,6 +139,7 @@ func (s *SpMV) Stream(gatherv bool, res *SpMVResult) (cpu.Stream, error) {
 	}
 	row := 0
 	var pending []cpu.Op
+	xs := make([]addrmap.Addr, s.nnzPerRow) // scalar-path scratch, reused per row
 
 	emitRow := func(r int) {
 		start := r * s.nnzPerRow
@@ -151,7 +152,12 @@ func (s *SpMV) Stream(gatherv bool, res *SpMVResult) (cpu.Stream, error) {
 			)
 		}
 		// x gather: indexed by the row's column entries.
-		addrs := make([]addrmap.Addr, s.nnzPerRow)
+		addrs := xs
+		if gatherv {
+			// Fresh per op, not scratch: Op.Addrs must stay unmodified until
+			// the op completes, and ScatterV bursts are posted past it.
+			addrs = make([]addrmap.Addr, s.nnzPerRow)
+		}
 		var y uint64
 		for i := 0; i < s.nnzPerRow; i++ {
 			k := start + i
@@ -180,17 +186,16 @@ func (s *SpMV) Stream(gatherv bool, res *SpMVResult) (cpu.Stream, error) {
 		res.YSum += y
 	}
 
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(ops []cpu.Op) []cpu.Op {
+		pending = ops
 		for len(pending) == 0 {
 			if row >= s.rows {
-				return cpu.Op{}, false
+				return pending
 			}
 			emitRow(row)
 			row++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }
 

@@ -321,10 +321,11 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 	}
 
 	finished := false
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(ops []cpu.Op) []cpu.Op {
+		pending = ops
 		for len(pending) == 0 {
 			if finished {
-				return cpu.Op{}, false
+				return pending
 			}
 			switch st.phase {
 			case 0:
@@ -354,9 +355,7 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 				}
 			}
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }
 
@@ -372,11 +371,10 @@ func (g *Graph) UpdateStream(count, fields int, seed uint64) (cpu.Stream, error)
 	}
 	rng := sim.NewRand(seed)
 	done := 0
-	var pending []cpu.Op
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(pending []cpu.Op) []cpu.Op {
 		for len(pending) == 0 {
 			if done >= count {
-				return cpu.Op{}, false
+				return pending
 			}
 			u := rng.Intn(g.n)
 			pending = append(pending, cpu.Compute(8))
@@ -396,9 +394,7 @@ func (g *Graph) UpdateStream(count, fields int, seed uint64) (cpu.Stream, error)
 			}
 			done++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }
 

@@ -82,13 +82,11 @@ func (g *Graph) PtrChaseStream(chains, steps int, seed uint64, gatherv bool, res
 
 	step := 0
 	var pending []cpu.Op
+	heads := make([]int, chains) // the step's chain heads, reused per step
 
 	emitStep := func() {
-		addrs := make([]addrmap.Addr, chains)
-		heads := make([]int, chains)
 		copy(heads, cur)
 		for i, u := range heads {
-			addrs[i] = g.FieldAddr(u, FieldDist)
 			v, err := g.ReadField(u, FieldDist)
 			if err != nil {
 				panic(fmt.Sprintf("graph: ptrchase functional read failed: %v", err))
@@ -98,6 +96,12 @@ func (g *Graph) PtrChaseStream(chains, steps int, seed uint64, gatherv bool, res
 			cur[i] = int(v)
 		}
 		if gatherv {
+			// Fresh per op, not scratch: Op.Addrs must stay unmodified until
+			// the op completes, and ScatterV bursts are posted past it.
+			addrs := make([]addrmap.Addr, chains)
+			for i, u := range heads {
+				addrs[i] = g.FieldAddr(u, FieldDist)
+			}
 			pending = append(pending, cpu.GatherV(addrs, shuffled, alt, 0x2500), cpu.Compute(chains))
 		} else {
 			for _, u := range heads {
@@ -106,16 +110,15 @@ func (g *Graph) PtrChaseStream(chains, steps int, seed uint64, gatherv bool, res
 		}
 	}
 
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(ops []cpu.Op) []cpu.Op {
+		pending = ops
 		for len(pending) == 0 {
 			if step >= steps {
-				return cpu.Op{}, false
+				return pending
 			}
 			emitStep()
 			step++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }

@@ -64,6 +64,7 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 	buildT := 0
 	probesDone := 0
 	var pending []cpu.Op
+	var matched []int // probe scratch, reused across batches
 
 	readKey := func(t, f int) uint64 {
 		v, err := db.ReadField(t, f)
@@ -78,13 +79,16 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 		if db.tuples-buildT < n {
 			n = db.tuples - buildT
 		}
-		addrs := make([]addrmap.Addr, n)
 		for i := 0; i < n; i++ {
-			t := buildT + i
-			res.Checksum ^= readKey(t, 0)
-			addrs[i] = db.FieldAddr(t, 0)
+			res.Checksum ^= readKey(buildT+i, 0)
 		}
 		if gatherv {
+			// Fresh per op, not scratch: Op.Addrs must stay unmodified until
+			// the op completes, and ScatterV bursts are posted past it.
+			addrs := make([]addrmap.Addr, n)
+			for i := range addrs {
+				addrs[i] = db.FieldAddr(buildT+i, 0)
+			}
 			pending = append(pending, cpu.GatherV(addrs, shuffled, alt, 0x3000), cpu.Compute(n))
 		} else {
 			for i := 0; i < n; i++ {
@@ -95,8 +99,7 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 	}
 
 	emitProbes := func() {
-		var addrs []addrmap.Addr
-		var matched []int
+		matched = matched[:0]
 		for i := 0; i < batch; i++ {
 			t := rng.Intn(db.tuples)
 			res.Probes++
@@ -105,12 +108,17 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 			}
 			res.Matches++
 			res.Checksum ^= readKey(t, HashJoinPayloadField)
-			addrs = append(addrs, db.FieldAddr(t, HashJoinPayloadField))
 			matched = append(matched, t)
 		}
 		pending = append(pending, cpu.Compute(2*batch)) // hash + directory walk
 		if gatherv {
-			if len(addrs) > 0 {
+			if len(matched) > 0 {
+				// Fresh per op, not scratch: Op.Addrs must stay unmodified until
+				// the op completes, and ScatterV bursts are posted past it.
+				addrs := make([]addrmap.Addr, len(matched))
+				for i, t := range matched {
+					addrs[i] = db.FieldAddr(t, HashJoinPayloadField)
+				}
 				pending = append(pending, cpu.GatherV(addrs, shuffled, alt, 0x3100))
 			}
 		} else {
@@ -121,20 +129,19 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 		probesDone += batch
 	}
 
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(ops []cpu.Op) []cpu.Op {
+		pending = ops
 		for len(pending) == 0 {
 			if buildT < db.tuples {
 				emitBuild()
 				continue
 			}
 			if probesDone >= probes {
-				return cpu.Op{}, false
+				return pending
 			}
 			emitProbes()
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }
 

@@ -505,11 +505,10 @@ func (db *DB) analyticsStreamStride(columns []int, stride int, res *AnalyticsRes
 
 	ci := 0 // column index
 	t := 0  // next tuple
-	var pending []cpu.Op
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(pending []cpu.Op) []cpu.Op {
 		for len(pending) == 0 {
 			if ci >= len(columns) {
-				return cpu.Op{}, false
+				return pending
 			}
 			f := columns[ci]
 			v, err := db.ReadField(t, f)
@@ -533,8 +532,6 @@ func (db *DB) analyticsStreamStride(columns []int, stride int, res *AnalyticsRes
 				ci++
 			}
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }

@@ -185,11 +185,10 @@ func (img *Image) HistogramStream(channel int, res *HistogramResult) (cpu.Stream
 		res = &HistogramResult{}
 	}
 	p := 0
-	var pending []cpu.Op
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(pending []cpu.Op) []cpu.Op {
 		for len(pending) == 0 {
 			if p >= img.n {
-				return cpu.Op{}, false
+				return pending
 			}
 			v, err := img.Get(p, channel)
 			if err != nil {
@@ -209,9 +208,7 @@ func (img *Image) HistogramStream(channel int, res *HistogramResult) (cpu.Stream
 			}
 			p++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }
 
@@ -225,7 +222,6 @@ func (img *Image) ShadeStream(pixelList []int) (cpu.Stream, error) {
 		}
 	}
 	i := 0
-	var pending []cpu.Op
 	mk := func(p, c int, write bool) cpu.Op {
 		var op cpu.Op
 		if write {
@@ -239,10 +235,10 @@ func (img *Image) ShadeStream(pixelList []int) (cpu.Stream, error) {
 		}
 		return op
 	}
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(pending []cpu.Op) []cpu.Op {
 		for len(pending) == 0 {
 			if i >= len(pixelList) {
-				return cpu.Op{}, false
+				return pending
 			}
 			p := pixelList[i]
 			i++
@@ -258,8 +254,6 @@ func (img *Image) ShadeStream(pixelList []int) (cpu.Stream, error) {
 				pending = append(pending, mk(p, c, false), mk(p, c, true), cpu.Compute(3))
 			}
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	}), nil
 }

@@ -225,14 +225,13 @@ func (p *Plan) Stream(res *Result) cpu.Stream {
 	db := p.eng.db
 
 	t := 0
-	var pending []cpu.Op
-	return cpu.FuncStream(func() (cpu.Op, bool) {
+	return cpu.NewRefill(func(pending []cpu.Op) []cpu.Op {
 		for len(pending) == 0 {
 			if t >= db.Tuples() {
-				return cpu.Op{}, false
+				return pending
 			}
 			// Read the plan's fields functionally.
-			vals := map[int]uint64{}
+			var vals [imdb.FieldsPerTuple]uint64
 			for _, f := range p.fields {
 				v, err := db.ReadField(t, f)
 				if err != nil {
@@ -281,9 +280,7 @@ func (p *Plan) Stream(res *Result) cpu.Stream {
 			}
 			t++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending
 	})
 }
 

@@ -232,16 +232,10 @@ func diffLines(name string, sim, ref []cache.Line, withDirty bool) *Divergence {
 // functionally), and loads record what they observed for the later diff.
 func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machine, res *Result, execErr *error, errOp *int, opts Options) cpu.Stream {
 	pos := 0
-	var pending *cpu.Op
 	buf := make([]uint64, p.GS.Chips)
-	return cpu.FuncStream(func() (cpu.Op, bool) {
-		if pending != nil {
-			op := *pending
-			pending = nil
-			return op, true
-		}
+	return cpu.NewRefill(func(pending []cpu.Op) []cpu.Op {
 		if pos >= len(opIdx) || *execErr != nil {
-			return cpu.Op{}, false
+			return pending
 		}
 		gi := opIdx[pos]
 		pos++
@@ -251,10 +245,10 @@ func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machin
 		rec := &res.Records[gi]
 		rec.Addr, rec.Patt = addr, patt
 
-		fail := func(err error) (cpu.Op, bool) {
+		fail := func(err error) []cpu.Op {
 			*execErr = fmt.Errorf("op %d (%s %#x): %w", gi, op.Kind, uint64(addr), err)
 			*errOp = gi
-			return cpu.Op{}, false
+			return pending
 		}
 		switch op.Kind {
 		case OpLoad:
@@ -329,9 +323,8 @@ func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machin
 			}
 		}
 		if op.Gap > 0 {
-			pending = &mop
-			return cpu.Compute(op.Gap), true
+			pending = append(pending, cpu.Compute(op.Gap))
 		}
-		return mop, true
+		return append(pending, mop)
 	})
 }
